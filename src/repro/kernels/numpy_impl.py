@@ -6,10 +6,13 @@ backends without callers caring which one is live, and the parity suite
 can run the interpreted per-lane kernels against these array passes
 input-for-input.
 
-The search kernels are the engine's original lane-parallel
-implementations (formerly in :mod:`repro.search.batch`): every numpy pass
-halves all still-open windows at once, so a batch resolves in
-``O(log max_window)`` vectorised passes regardless of batch size.  The
+The search kernels are lane-parallel binary lifting: a lane's answer is
+``lo + #{data[lo:hi] < q}``, and that count is built one power of two at
+a time, from the largest that fits the widest window down to 1.  Every
+lane runs the same fixed sequence of in-place array passes (add, gather,
+compare, masked add), so a batch resolves in
+``O(log max_window)`` passes regardless of batch size, with no
+data-dependent loop exit and no per-pass temporaries.  The
 predict/fused mirrors compose the exact expressions the model classes use
 in ``predict_pos_batch`` — same float64 operation order, so results are
 bit-identical to the model-object path.
@@ -24,22 +27,43 @@ import numpy as np
 # search
 # ----------------------------------------------------------------------
 def _lanes_lower_bound(data, queries, lo, hi):
-    """Lane-parallel bounded binary search (int64 ``lo``/``hi`` copies)."""
-    lo = lo.copy()
-    hi = hi.copy()
-    if lo.size == 0:
-        return lo
-    while True:
-        active = lo < hi
-        if not active.any():
-            return lo
-        mid = (lo + hi) >> 1
-        # inactive lanes probe index 0 (masked out below) so fancy
-        # indexing never reads past the array
-        probe = np.where(active, mid, 0)
-        go_right = active & (data[probe] < queries)
-        lo = np.where(go_right, mid + 1, lo)
-        hi = np.where(active & ~go_right, mid, hi)
+    """Lane-parallel bounded lower bound by binary lifting.
+
+    ``data`` is sorted, so ``#{data[lo:hi] < q}`` equals
+    ``min(#{data[lo:] < q}, hi - lo)``, and the unbounded count is a
+    prefix length: it is built greedily, one power of two at a time from
+    the largest that fits the widest window down to 1, a lane taking a
+    step when the last record the step covers is ``< q``.  Probes past
+    the end of ``data`` read its last record (``mode="clip"``), which
+    keeps the predicate monotone; the final clamp to ``hi`` applies the
+    window.  Every pass is the same five in-place array ops over all
+    lanes: no data-dependent exit test, no ``np.where`` temporaries, no
+    masked ufunc loop.  Empty (or inverted) windows answer ``lo``.
+    """
+    pos = np.array(lo, dtype=np.int64)  # a copy: lanes advance in place
+    if not np.shape(queries) == pos.shape == hi.shape:
+        shape = np.broadcast_shapes(np.shape(queries), pos.shape, hi.shape)
+        pos = np.array(np.broadcast_to(pos, shape))
+    if pos.size == 0 or len(data) == 0:
+        return pos
+    end = np.maximum(hi, pos)
+    widest = int((end - pos).max())
+    if widest == 0:
+        return pos
+    probe = np.empty_like(pos)
+    vals = np.empty(pos.shape, dtype=data.dtype)
+    below = np.empty(pos.shape, dtype=bool)
+    step = 1 << (widest.bit_length() - 1)
+    while step:
+        np.add(pos, step - 1, out=probe)
+        # mode="clip" also skips the bounds check that makes the default
+        # mode buffer ``out``
+        np.take(data, probe, out=vals, mode="clip")
+        np.less(vals, queries, out=below)
+        np.multiply(below, step, out=probe)  # masked step, no where=
+        np.add(pos, probe, out=pos)
+        step >>= 1
+    return np.minimum(pos, end, out=pos)
 
 
 def bounded_search(data, queries, lo, hi, out):
@@ -48,35 +72,31 @@ def bounded_search(data, queries, lo, hi, out):
     return out
 
 
-def _validated(data, queries, lo, hi):
-    """Bounded lanes plus the §3.8 edge-validation fallback."""
+def validated_search(data, queries, starts, widths, out):
+    """Window search with §3.8 edge validation (exact results).
+
+    Each lane searches its window ``[starts, starts + widths]`` widened
+    by one record on each side, so the §3.8 edge probes (the record just
+    before and just after the window) are compared by the search itself.
+    An answer strictly inside the widened window is bracketed by records
+    of that window (``data[r-1] < q <= data[r]``) and is exact; a lane
+    pinned to a widened edge that is not an end of ``data`` has its
+    answer outside the window (the §3.8 violation) and falls back to a
+    full-array lower bound.
+    """
     n = len(data)
+    # np.minimum/np.maximum, not np.clip: same values without the
+    # Python-level wrapper, which costs more than the clamp at batch size
+    lo = np.minimum(np.maximum(starts - 1, 0), n)
+    hi = np.minimum(np.maximum(starts + widths + 2, lo), n)
     result = _lanes_lower_bound(data, queries, lo, hi)
-    if result.size == 0:
-        return result
-    # left edge: pinned at the window start, but the predecessor already
-    # satisfies >= q, so the true lower bound is further left
-    left = (result == lo) & (lo > 0)
-    if left.any():
-        left &= data[np.maximum(lo - 1, 0)] >= queries
-    # right edge: exhausted the window, but the next record is still < q
-    right = (result == hi) & (hi < n)
-    if right.any():
-        right &= data[np.minimum(hi, n - 1)] < queries
-    violated = left | right
+    violated = (result == lo) & (lo > 0)
+    violated |= (result == hi) & (hi < n)
     if violated.any():
         result[violated] = np.searchsorted(
             data, queries[violated], side="left"
         )
-    return result
-
-
-def validated_search(data, queries, starts, widths, out):
-    """Window search with §3.8 edge validation (exact results)."""
-    n = len(data)
-    lo = np.clip(starts, 0, n)
-    hi = np.clip(starts + widths + 1, lo, n)
-    out[:] = _validated(data, queries, lo, hi)
+    out[:] = result
     return out
 
 
@@ -155,14 +175,14 @@ def predict_radix_spline(keys, sp_keys, sp_pos, out):
 # layer.correct_batch composed with the validated search)
 # ----------------------------------------------------------------------
 def _predicted(pred, n):
-    """``predicted_index_batch``: clip in float space, then cast."""
-    return np.clip(pred, 0, n - 1).astype(np.int64)
+    """``predicted_index_batch``: clamp in float space, then cast."""
+    return np.minimum(np.maximum(pred, 0), n - 1).astype(np.int64)
 
 
 def _partition(pred, same, ratio, m):
     """``partition_index_batch`` with the pre-rounded build ratio."""
     scaled = pred if same else pred * ratio
-    return np.clip(scaled, 0, m - 1).astype(np.int64)
+    return np.minimum(np.maximum(scaled, 0), m - 1).astype(np.int64)
 
 
 def fused_window_search(keys, queries, pred, deltas, widths, same, ratio, m,

@@ -52,9 +52,11 @@ def predicted_index_batch(pos: np.ndarray, n: int) -> np.ndarray:
 
     Clips in float space *before* the int cast: a wildly out-of-domain
     query can predict beyond int64 range, and casting that is undefined
-    (numpy warns and yields INT64_MIN).
+    (numpy warns and yields INT64_MIN).  ``np.minimum``/``np.maximum``
+    rather than ``np.clip``: same values, without the Python-level
+    wrapper that costs more than the clamp on a batch-path chunk.
     """
-    return np.clip(pos, 0, n - 1).astype(np.int64)
+    return np.minimum(np.maximum(pos, 0), n - 1).astype(np.int64)
 
 
 def partition_index_batch(pos: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -63,7 +65,7 @@ def partition_index_batch(pos: np.ndarray, n: int, m: int) -> np.ndarray:
         scaled = pos
     else:
         scaled = pos * (m / n)
-    return np.clip(scaled, 0, m - 1).astype(np.int64)
+    return np.minimum(np.maximum(scaled, 0), m - 1).astype(np.int64)
 
 
 class CDFModel(ABC):

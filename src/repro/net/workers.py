@@ -165,6 +165,7 @@ class WorkerPool:
     # dispatch / events / barriers
     # ------------------------------------------------------------------
     def _pick_alive(self) -> _Worker | None:
+        """Next live worker round-robin (advances the cursor)."""
         live = [w for w in self._workers if w.stats.alive]
         if not live:
             return None
@@ -173,9 +174,11 @@ class WorkerPool:
 
     async def dispatch(self, cid: int, msg: dict) -> bool:
         """Route one read to a live worker; False when none remain."""
-        if self._pick_alive() is None:
+        if not self.alive_count:
             return False
         await self._sem.acquire()
+        # pick once, after the wait: a second pick would advance the
+        # round-robin cursor twice per read and starve every other worker
         worker = self._pick_alive()
         if worker is None:  # the last worker died while we waited
             self._sem.release()
@@ -318,7 +321,7 @@ class WorkerPool:
             self._sem.release()
         for _, (cid, msg) in sorted(inflight.items()):
             worker.stats.rerouted += 1
-            if self._pick_alive() is not None:
+            if self.alive_count:
                 await self.dispatch(cid, msg)
             else:
                 # last worker down: the parent answers inline

@@ -6,8 +6,9 @@ instead carries *arrays* of per-query windows; this module dispatches
 them to whichever search kernel backend is live in
 :data:`repro.kernels.REGISTRY`:
 
-* the pure-numpy lane-parallel binary search (every numpy pass halves
-  all still-open windows at once — ``O(log max_window)`` vectorised
+* the pure-numpy lane-parallel binary lifting search (each lane's
+  answer ``lo + #{data[lo:hi] < q}`` is built one power of two at a
+  time, largest first — ``O(log max_window)`` fixed in-place array
   passes regardless of batch size, no per-query Python loop), or
 * the numba per-lane compiled kernel (one branch-light loop over lanes,
   ``nogil`` so executor threads overlap), when numba is importable and

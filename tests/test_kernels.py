@@ -478,6 +478,135 @@ def test_empty_batch_and_empty_window_edges():
 
 
 # ----------------------------------------------------------------------
+# bounded search edge table: both backends against the window oracle
+# ----------------------------------------------------------------------
+def _neighbours(data, picks):
+    """``picks`` plus their nearest representable values on both sides."""
+    if data.dtype.kind == "f":
+        return np.concatenate([picks, np.nextafter(picks, -np.inf),
+                               np.nextafter(picks, np.inf)])
+    info = np.iinfo(data.dtype)
+    values = {int(p) + d for p in picks for d in (-1, 0, 1)}
+    return np.array(sorted(v for v in values if info.min <= v <= info.max),
+                    dtype=data.dtype)
+
+
+def _window_queries(data, lo, hi):
+    """Window edges and a spread of interior keys, each with neighbours,
+    the records just outside the window, and the dtype's extremes."""
+    if data.dtype.kind == "f":
+        extremes = np.array([-np.inf, np.inf, 0.0])
+    else:
+        info = np.iinfo(data.dtype)
+        extremes = np.array([info.min, info.max, 0], dtype=data.dtype)
+    inside = np.unique(np.concatenate([
+        np.arange(lo, min(lo + 3, hi)),
+        np.arange(max(hi - 3, lo), hi),
+        np.linspace(lo, hi - 1, 32).astype(np.int64) if hi > lo else [],
+    ]).astype(np.int64))
+    outside = [i for i in (lo - 1, hi) if 0 <= i < len(data)]
+    picks = data[np.concatenate([inside, outside]).astype(np.int64)]
+    return np.concatenate([_neighbours(data, picks), extremes]).astype(
+        data.dtype)
+
+
+def _edge_table():
+    """Deterministic ``(id, data, lo, hi)`` cases for the lane search."""
+    rng = np.random.default_rng(12)
+    # uint64 keys at and above 2**63, with duplicate runs of up to 4
+    high = np.sort(np.uint64(1 << 63) + np.repeat(
+        rng.choice(1 << 40, 1500, replace=False).astype(np.uint64),
+        rng.integers(1, 5, 1500)))
+    n = len(high)
+    cases = [("empty-data", np.empty(0, dtype=np.uint64), 0, 0),
+             ("lo==hi==0", high, 0, 0),
+             ("lo==hi-mid", high, n // 2, n // 2),
+             ("lo==hi==n", high, n, n),
+             ("inverted", high, 50, 40),  # answers lo, like lo == hi
+             ("whole-array", high, 0, n)]
+    for k in range(12):
+        for width in (2**k - 1, 2**k, 2**k + 1):
+            cases.append((f"width-{width}", high, 37, 37 + width))
+            cases.append((f"width-{width}-ends-at-n", high, n - width, n))
+    # duplicate runs straddling each window edge
+    runs = np.repeat(np.arange(0, 50, 5, dtype=np.uint64), 6)
+    for lo, hi in ((3, 9), (9, 21), (2, 58), (8, 15)):
+        cases.append((f"dup-run-edge-{lo}-{hi}", runs, lo, hi))
+    negative = np.sort(rng.integers(-(1 << 62), 1 << 20, 900))
+    negative[:2] = np.iinfo(np.int64).min  # a run at the dtype minimum
+    floats = np.sort(rng.normal(0.0, 1e3, 900))
+    floats[400:410] = floats[400]
+    for label, data in (("int64-negative", negative), ("float64", floats)):
+        for lo, hi in ((0, 0), (0, 700), (395, 415), (200, 713),
+                       (len(data) - 300, len(data))):
+            cases.append((f"{label}-{lo}-{hi}", data, lo, hi))
+    return cases
+
+
+EDGE_CASES = _edge_table()
+
+
+def _bounded(impls, data, queries, lo, hi):
+    out = np.empty(len(queries), dtype=np.int64)
+    return impls.bounded_search(data, queries, lo, hi, out)
+
+
+@pytest.mark.parametrize("impls", [cpu, numpy_impl], ids=["cpu", "numpy"])
+@pytest.mark.parametrize("case", EDGE_CASES, ids=[c[0] for c in EDGE_CASES])
+def test_bounded_search_edge_table(impls, case):
+    _, data, lo, hi = case
+    queries = _window_queries(data, lo, hi)
+    want = lo + np.searchsorted(data[lo:hi], queries, side="left")
+    lanes = np.ones(len(queries), dtype=np.int64)
+    got = _bounded(impls, data, queries, lo * lanes, hi * lanes)
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("impls", [cpu, numpy_impl], ids=["cpu", "numpy"])
+def test_bounded_search_mixed_widths_in_one_batch(impls):
+    # lanes of every width share one call, so the widest sets the pass
+    # count and the narrow lanes must still stop at their own window
+    by_data = {}
+    for _, data, lo, hi in EDGE_CASES:
+        by_data.setdefault(id(data), (data, []))[1].append((lo, hi))
+    for data, windows in by_data.values():
+        parts = [(_window_queries(data, lo, hi), lo, hi)
+                 for lo, hi in windows]
+        queries = np.concatenate([q for q, _, _ in parts])
+        lo = np.concatenate([np.full(len(q), a) for q, a, _ in parts])
+        hi = np.concatenate([np.full(len(q), b) for q, _, b in parts])
+        want = np.concatenate([
+            a + np.searchsorted(data[a:b], q, side="left")
+            for q, a, b in parts])
+        np.testing.assert_array_equal(
+            _bounded(impls, data, queries, lo, hi), want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(1025, 6000),
+    span=st.sampled_from([1 << 12, 1 << 40, 1 << 63]),
+    seed=st.integers(0, 2**16),
+)
+def test_bounded_and_validated_search_wide_windows(n, span, seed):
+    """Windows wider than 1024 records (11+ lifting passes)."""
+    rng = np.random.default_rng(seed)
+    keys = np.sort(rng.integers(0, span, n, dtype=np.uint64))
+    queries = np.concatenate([rng.choice(keys, 24), rng.choice(keys, 8) + 1])
+    lo = rng.integers(0, n - 1024, len(queries))
+    hi = np.minimum(lo + rng.integers(1025, n + 1, len(queries)), n)
+    want = np.array([a + np.searchsorted(keys[a:b], q, side="left")
+                     for q, a, b in zip(queries, lo, hi)], dtype=np.int64)
+    truth = np.searchsorted(keys, queries, side="left")
+    for impls in (cpu, numpy_impl):
+        np.testing.assert_array_equal(
+            _bounded(impls, keys, queries, lo, hi), want)
+        out = np.empty(len(queries), dtype=np.int64)
+        impls.validated_search(keys, queries, lo, hi - lo - 1, out)
+        np.testing.assert_array_equal(out, truth)
+
+
+# ----------------------------------------------------------------------
 # engine-level parity across backends × kernel modes
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("backend", ["static", "gapped", "fenwick"])
