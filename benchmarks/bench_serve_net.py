@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Network serving: (transport × workers × scenario) load matrix.
+"""Network serving: (transport × scenario) load matrix.
 
 Standalone script (not a pytest-benchmark target) so CI can smoke it:
 
@@ -8,25 +8,22 @@ Standalone script (not a pytest-benchmark target) so CI can smoke it:
 Every response in every cell is oracle-verified against a live
 ``np.searchsorted`` mirror — the driver raises on a single mismatch —
 and the payload is written to ``BENCH_serve.json`` with ``cpu_count``
-recorded, because the shared-memory read-scaling assertion
-(``--enforce-scaling``) only means anything on a multi-core machine.
-See :mod:`repro.bench.serve_net` for the scenario registry.
+recorded.  See :mod:`repro.bench.serve_net` for the scenario registry.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 try:
-    from repro.bench.reporting import format_table
-    from repro.bench.serve_net import SCENARIOS, run_serve_net_bench
+    from repro.bench.serve_net import (
+        SCENARIOS, render_report, run_serve_net_bench)
 except ImportError:  # direct invocation without PYTHONPATH=src
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-    from repro.bench.reporting import format_table
-    from repro.bench.serve_net import SCENARIOS, run_serve_net_bench
+    from repro.bench.serve_net import (
+        SCENARIOS, render_report, run_serve_net_bench)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -43,8 +40,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="concurrent client connections per cell")
     parser.add_argument("--rounds", type=int, default=8,
                         help="write+read rounds per cell")
-    parser.add_argument("--workers", type=int, nargs="*", default=[0, 2, 4],
-                        help="read-worker counts for the tcp transport")
     parser.add_argument("--scenarios", nargs="*", default=None,
                         choices=sorted(SCENARIOS),
                         help="scenario registry entries (default: all)")
@@ -58,10 +53,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--json", default="BENCH_serve.json",
                         metavar="PATH", dest="json_path",
                         help="result artifact path ('-' disables)")
-    parser.add_argument("--enforce-scaling", action="store_true",
-                        help="assert the 4-worker read-heavy QPS ratio "
-                             "(auto-skipped below 4 cores, recorded "
-                             "either way)")
     parser.add_argument("--smoke", action="store_true",
                         help="tiny CI configuration (fast, still verified)")
     args = parser.parse_args(argv)
@@ -70,7 +61,6 @@ def main(argv: list[str] | None = None) -> int:
         args.n = min(args.n, 20_000)
         args.clients = min(args.clients, 4)
         args.rounds = min(args.rounds, 2)
-        args.workers = sorted(set(w for w in args.workers if w <= 2) | {0, 2})
 
     payload = run_serve_net_bench(
         n=args.n,
@@ -81,41 +71,14 @@ def main(argv: list[str] | None = None) -> int:
         backend=args.backend,
         clients=args.clients,
         rounds=args.rounds,
-        worker_counts=tuple(args.workers),
         scenarios=tuple(args.scenarios) if args.scenarios else None,
         transports=tuple(args.transports),
         max_batch=args.max_batch,
         max_wait_us=args.max_wait_us,
         seed=args.seed,
-        enforce_scaling=args.enforce_scaling,
     )
-
-    table = [
-        [r["transport"],
-         "-" if r["workers"] is None else r["workers"],
-         r["scenario"], r["ops"], r["qps"], r["p50_us"], r["p99_us"],
-         r["cache_hit_rate"], r["mismatches"]]
-        for r in payload["rows"]
-    ]
-    print(format_table(
-        ["transport", "workers", "scenario", "ops", "qps", "p50 us",
-         "p99 us", "hit rate", "mismatches"],
-        table,
-        title=(f"network serving — {args.dataset}, n={args.n:,}, "
-               f"{payload['cpu_count']} core(s)"),
-        float_digits=2,
-    ))
-    scaling = payload["scaling"]
-    if scaling["ratio"] is not None:
-        state = ("enforced" if scaling["enforced"]
-                 else f"not enforced ({scaling.get('skipped')})")
-        print(f"read-heavy tcp scaling: {scaling['workers']} workers = "
-              f"{scaling['ratio']:.2f}x workers=0  [{state}]")
-    print("every response oracle-verified: zero mismatches")
-
-    if args.json_path and args.json_path != "-":
-        Path(args.json_path).write_text(json.dumps(payload, indent=2))
-        print(f"wrote {args.json_path}")
+    print(render_report(
+        payload, None if args.json_path == "-" else args.json_path))
     return 0
 
 

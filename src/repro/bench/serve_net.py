@@ -1,4 +1,4 @@
-"""Network serving benchmark: (transport × workers × scenario) matrix.
+"""Network serving benchmark: (transport × scenario) matrix.
 
 Every cell builds a fresh engine, drives it with a deterministic
 workload, and **oracle-verifies every response** against a live
@@ -12,33 +12,32 @@ Axes:
   directly: the no-network baseline) and ``tcp`` (the framed protocol
   through :class:`~repro.net.server.NetServer` +
   :class:`~repro.net.Client`).
-* **workers** — read-worker process count for the ``tcp`` transport
-  (0 = inline on the server loop; N>0 = shared-memory scale-out).
 * **scenario** — named entries in :data:`SCENARIOS`: read-heavy
   (closed and open loop), mixed and write-heavy.  Writes are applied
   through one writer connection between read bursts, keeping the
   oracle mirror exact under concurrency; closed-loop clients await
   each answer, open-loop clients pipeline their whole stream.
 
-The payload records ``cpu_count`` because the shared-memory scaling
-claim is physically bounded by cores: the ≥2.5× four-worker acceptance
-assertion only arms on a ≥4-core machine (and with ``enforce_scaling``),
-everywhere else the ratio is recorded with the reason it was not
-enforced.  Zero oracle mismatches is enforced unconditionally.
+The payload records ``cpu_count`` so a QPS figure reads against the
+machine that produced it.  Zero oracle mismatches is enforced
+unconditionally.
 """
 
 from __future__ import annotations
 
 import asyncio
+import json
 import os
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from ..datasets import load
 from ..engine import ShardedIndex
 from ..serve import IndexServer
+from .reporting import format_table
 
 
 @dataclass(frozen=True)
@@ -57,7 +56,7 @@ class Scenario:
 SCENARIOS: dict[str, Scenario] = {
     s.name: s for s in (
         Scenario("read-heavy", "closed", 4, 64, 0.25,
-                 "95%+ reads, closed loop (the scaling headline)"),
+                 "95%+ reads, closed loop (the headline cell)"),
         Scenario("read-heavy-open", "open", 4, 64, 0.25,
                  "95%+ reads, every client pipelines its full stream"),
         Scenario("mixed", "closed", 32, 32, 0.25,
@@ -188,13 +187,13 @@ def _run_inproc_cell(index, scenario, *, keys, clients, rounds, seed,
             "cache_hit_rate": snap["cache_hit_rate"]}
 
 
-def _run_tcp_cell(index, scenario, *, workers, keys, clients, rounds, seed,
+def _run_tcp_cell(index, scenario, *, keys, clients, rounds, seed,
                   max_batch, max_wait_us) -> dict:
     from ..net.client import Client
     from ..net.server import NetServer
 
     server = IndexServer(index, max_batch=max_batch, max_wait_us=max_wait_us)
-    net = NetServer(server, workers=workers, own_server=True)
+    net = NetServer(server, own_server=True)
 
     async def cell():
         host, port = await net.start()
@@ -220,10 +219,7 @@ def _run_tcp_cell(index, scenario, *, workers, keys, clients, rounds, seed,
     return {"ops": total, "seconds": seconds, "mismatches": mismatches,
             "p50_us": snap["p50_us"], "p99_us": snap["p99_us"],
             "mean_batch": snap["mean_batch"],
-            "cache_hit_rate": snap["cache_hit_rate"],
-            "live_workers": snap["live_workers"],
-            "rerouted": snap["rerouted"],
-            "net": server.stats.net_snapshot()["workers"]}
+            "cache_hit_rate": snap["cache_hit_rate"]}
 
 
 def run_serve_net_bench(
@@ -235,23 +231,15 @@ def run_serve_net_bench(
     backend: str = "gapped",
     clients: int = 8,
     rounds: int = 8,
-    worker_counts: tuple[int, ...] = (0, 2, 4),
     scenarios: tuple[str, ...] | None = None,
     transports: tuple[str, ...] = ("inproc", "tcp"),
     max_batch: int = 256,
     max_wait_us: float = 200.0,
     seed: int = 42,
-    enforce_scaling: bool = False,
-    scaling_min_ratio: float = 2.5,
-    scaling_workers: int = 4,
 ) -> dict:
     """Run the full matrix; returns the ``BENCH_serve.json`` payload.
 
-    Raises :class:`AssertionError` on any oracle mismatch, and — when
-    ``enforce_scaling`` is set *and* the machine has at least
-    ``scaling_workers`` cores — when the ``scaling_workers``-worker
-    read-heavy closed-loop QPS fails ``scaling_min_ratio ×`` the
-    single-process (workers=0) TCP cell.
+    Raises :class:`AssertionError` on any oracle mismatch.
     """
     names = tuple(scenarios) if scenarios else tuple(SCENARIOS)
     unknown = [s for s in names if s not in SCENARIOS]
@@ -266,69 +254,26 @@ def run_serve_net_bench(
             name=f"{dataset}-net",
         )
 
+    run_cell = {"inproc": _run_inproc_cell, "tcp": _run_tcp_cell}
     rows: list[dict] = []
     for name in names:
-        scenario = SCENARIOS[name]
-        common = dict(keys=keys, clients=clients, rounds=rounds, seed=seed,
-                      max_batch=max_batch, max_wait_us=max_wait_us)
         for transport in transports:
-            if transport == "inproc":
-                configs = [None]
-            else:
-                configs = list(worker_counts)
-            for workers in configs:
-                if transport == "inproc":
-                    cell = _run_inproc_cell(build(), scenario, **common)
-                else:
-                    cell = _run_tcp_cell(build(), scenario,
-                                         workers=workers, **common)
-                cell.update({
-                    "scenario": name, "transport": transport,
-                    "workers": workers,
-                    "qps": (cell["ops"] / cell["seconds"]
-                            if cell["seconds"] > 0 else float("inf")),
-                })
-                rows.append(cell)
+            cell = run_cell[transport](
+                build(), SCENARIOS[name], keys=keys, clients=clients,
+                rounds=rounds, seed=seed, max_batch=max_batch,
+                max_wait_us=max_wait_us)
+            cell.update({
+                "scenario": name, "transport": transport,
+                "qps": (cell["ops"] / cell["seconds"]
+                        if cell["seconds"] > 0 else float("inf")),
+            })
+            rows.append(cell)
 
     for row in rows:
         if row["mismatches"]:
             raise AssertionError(
-                f"{row['transport']}/{row['scenario']}"
-                f"(workers={row['workers']}) served "
+                f"{row['transport']}/{row['scenario']} served "
                 f"{row['mismatches']} wrong answers")
-
-    cpu_count = os.cpu_count() or 1
-    scaling: dict[str, object] = {
-        "cpu_count": cpu_count,
-        "min_ratio": scaling_min_ratio,
-        "workers": scaling_workers,
-        "enforced": False,
-        "ratio": None,
-    }
-    base = next((r for r in rows if r["transport"] == "tcp"
-                 and r["scenario"] == "read-heavy" and r["workers"] == 0),
-                None)
-    best = next((r for r in rows if r["transport"] == "tcp"
-                 and r["scenario"] == "read-heavy"
-                 and r["workers"] == scaling_workers), None)
-    if base is not None and best is not None:
-        scaling["ratio"] = float(best["qps"]) / float(base["qps"])
-        if cpu_count < scaling_workers:
-            scaling["skipped"] = (
-                f"only {cpu_count} core(s): {scaling_workers}-worker "
-                f"scale-out cannot beat one busy core here")
-        elif not enforce_scaling:
-            scaling["skipped"] = "enforce_scaling not set"
-        else:
-            scaling["enforced"] = True
-            if scaling["ratio"] < scaling_min_ratio:
-                raise AssertionError(
-                    f"{scaling_workers}-worker read-heavy QPS is only "
-                    f"{scaling['ratio']:.2f}x the single-process cell "
-                    f"(need {scaling_min_ratio}x)")
-    else:
-        scaling["skipped"] = ("matrix did not include both the workers=0 "
-                              f"and workers={scaling_workers} tcp cells")
 
     return {
         "bench": "serve_net",
@@ -339,7 +284,7 @@ def run_serve_net_bench(
         "clients": clients,
         "rounds": rounds,
         "seed": seed,
-        "cpu_count": cpu_count,
+        "cpu_count": os.cpu_count() or 1,
         "scenarios": {
             name: {"loop": SCENARIOS[name].loop,
                    "writes_per_round": SCENARIOS[name].writes_per_round,
@@ -348,5 +293,32 @@ def run_serve_net_bench(
             for name in names
         },
         "rows": rows,
-        "scaling": scaling,
     }
+
+
+def render_report(payload: dict, json_path: str | None = None) -> str:
+    """Text rendering of a :func:`run_serve_net_bench` payload.
+
+    Shared by ``python -m repro client-bench`` and
+    ``benchmarks/bench_serve_net.py`` so the two entry points cannot drift.
+    With ``json_path`` the payload is also written there as the
+    ``BENCH_serve.json`` artifact.
+    """
+    table = [
+        [r["transport"], r["scenario"], r["ops"], r["qps"], r["p50_us"],
+         r["p99_us"], r["cache_hit_rate"], r["mismatches"]]
+        for r in payload["rows"]
+    ]
+    lines = [format_table(
+        ["transport", "scenario", "ops", "qps", "p50 us", "p99 us",
+         "hit rate", "mismatches"],
+        table,
+        title=(f"network serving — {payload['dataset']}, "
+               f"n={payload['n']:,}, {payload['cpu_count']} core(s)"),
+        float_digits=2,
+    )]
+    lines.append("every response oracle-verified: zero mismatches")
+    if json_path:
+        Path(json_path).write_text(json.dumps(payload, indent=2))
+        lines.append(f"wrote {json_path}")
+    return "\n".join(lines)

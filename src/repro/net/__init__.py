@@ -1,8 +1,7 @@
-"""Networked serving: wire protocol, TCP front end, read-worker scale-out.
+"""Networked serving: wire protocol, TCP front end, pipelining client.
 
 The serving stack so far ends at :class:`~repro.serve.server.IndexServer`
-— in-process asyncio.  This package puts a network boundary and CPU
-scale-out around it:
+— in-process asyncio.  This package puts a network boundary around it:
 
 * :mod:`repro.net.protocol` — a length-prefixed binary frame codec
   (magic + version + u32 length, TLV payload) with an incremental
@@ -17,11 +16,14 @@ scale-out around it:
 * :mod:`repro.net.client` — :class:`Client`, a thin async client with
   pipelining (request-id matched futures), per-request timeouts and
   reconnect-on-idempotent-read.
-* :mod:`repro.net.shm` / :mod:`repro.net.workers` — N read-worker
-  processes mapping one copy of the engine's key/slot arrays via
-  ``multiprocessing.shared_memory`` (rebuilt from the persisted segment
-  codecs), a single writer process owning mutations, and ``WriteEvent``
-  fan-out over per-worker control sockets.
+* :mod:`repro.net.ops` — the read/write op tables and the vectorised
+  read executor the server answers non-batchable reads with.
+
+Every read is answered in the serving process, through the result cache
+and the micro-batcher.  Process-level read scale-out is the replica
+tier: :func:`repro.replica.follow` returns a
+:class:`~repro.replica.follower.ReplicaIndex` that serves reads in its
+own process at an exact LSN watermark.
 
 Entry points: ``Index.serve(addr=...)`` (:mod:`repro.api`) and the CLI
 ``serve`` / ``client-bench`` subcommands.

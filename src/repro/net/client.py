@@ -10,10 +10,9 @@ range, range_keys, ping, stats) transparently reconnect and retry while
 writes surface the error — the caller must decide whether an insert
 whose ack was lost actually landed.
 
-Duplicate or unknown response ids are ignored: after a read worker dies
-mid-flight the server reroutes its in-flight requests, and the original
-worker may still have flushed an answer — reads are idempotent, so the
-first response wins and the echo is dropped.
+Unknown response ids are ignored: only a request that timed out (its
+future already popped) can still receive a late answer, and that answer
+is dropped.
 """
 
 from __future__ import annotations
@@ -131,7 +130,7 @@ class Client:
             return
         fut = self._pending.pop(msg.get("id"), None)
         if fut is None or fut.done():
-            return  # duplicate after a reroute, or a timed-out request
+            return  # late answer to a timed-out request
         if msg.get("ok"):
             fut.set_result(msg.get("r"))
         else:
@@ -212,5 +211,5 @@ class Client:
         return await self._request({"op": "stats"}, idempotent=True)
 
     async def barrier(self) -> bool:
-        """Drain the batcher and every worker's event queue, then return."""
+        """Drain the server's micro-batcher, then return."""
         return bool(await self._request({"op": "barrier"}, idempotent=True))

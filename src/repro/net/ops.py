@@ -1,4 +1,4 @@
-"""Read-op execution shared by the worker loop and the inline fallback.
+"""Read-op execution for the TCP front end's non-batchable reads.
 
 One request dict in, one response dict out, never raises: request-level
 failures (a malformed query, an unknown op) come back as error payloads
@@ -21,9 +21,9 @@ from ..serve.batcher import check_query
 
 __all__ = ["READ_OPS", "WRITE_OPS", "execute_read", "error_response"]
 
-#: ops a read worker can answer from its attached engine state
+#: ops answered without mutating the engine
 READ_OPS = frozenset({"ping", "lookup", "range", "range_keys"})
-#: ops only the single writer process may execute
+#: ops that mutate the engine (acknowledged only once applied)
 WRITE_OPS = frozenset({"insert", "delete"})
 
 

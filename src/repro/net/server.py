@@ -20,8 +20,8 @@ op             fields / answer
 ``range_keys`` ``lo``, ``hi`` scalar → ndarray of keys
 ``insert``     ``key`` → owning shard id (durable on ack)
 ``delete``     ``key`` → shard id, or KeyError error frame
-``stats``      → ``ServerStats.snapshot()`` + per-conn/worker counters
-``barrier``    drain batcher + every worker's event queue → ``True``
+``stats``      → ``ServerStats.snapshot()`` + per-connection counters
+``barrier``    drain the micro-batcher → ``True``
 =============  ========================================================
 
 Responses are ``{"id", "ok": True, "r": ...}`` or ``{"id", "ok": False,
@@ -29,22 +29,9 @@ Responses are ``{"id", "ok": True, "r": ...}`` or ``{"id", "ok": False,
 prefix, undecodable TLV) answer one final error frame and close the
 connection; request-level errors fail only their own request.
 
-Scale-out: with ``workers=N`` a :class:`~repro.net.workers.WorkerPool`
-forks N read-worker processes over one shared-memory export of the
-engine (:mod:`repro.net.shm`); reads round-robin across live workers,
-writes stay in this process (the single writer) and are captured by a
-``WriteEvent`` listener **at the engine apply point** — so the replica
-event stream is in apply order even under concurrent connections —
-then flushed to each worker's control socket before the write is
-acknowledged, so a client that saw its write's ack reads its own write
-from any worker.  A dead worker's in-flight requests are rerouted to survivors
-(or answered inline); reads are idempotent, so a duplicate answer from
-the corpse is dropped by the client.
-
-Backpressure is inherited from the wrapped server: inline reads claim
-its ``max_inflight`` slots (the connection's read loop — and therefore
-the peer's TCP window — stalls once the server saturates), and worker
-dispatch is capped by a semaphore of the same size.
+Backpressure is inherited from the wrapped server: reads claim its
+``max_inflight`` slots, so the connection's read loop — and therefore
+the peer's TCP window — stalls once the server saturates.
 """
 
 from __future__ import annotations
@@ -75,13 +62,10 @@ class NetServer:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        workers: int = 0,
         max_frame: int = DEFAULT_MAX_FRAME,
         own_server: bool = False,
         replicate_addr: tuple[str, int] | None = None,
     ) -> None:
-        if workers < 0:
-            raise ValueError("workers must be >= 0")
         if replicate_addr is not None and server.durability is None:
             raise ValueError(
                 "replicate_addr needs a durable index: build it with "
@@ -91,7 +75,6 @@ class NetServer:
         self.stats = server.stats
         self.host = host
         self.port = port
-        self.num_workers = workers
         self.max_frame = max_frame
         self._own_server = own_server
         self._replicate_addr = replicate_addr
@@ -99,8 +82,7 @@ class NetServer:
         #: started (``replicate_addr=...``); shares :attr:`stats`
         self.replication = None
         self._asyncio_server: asyncio.base_events.Server | None = None
-        self.pool = None
-        #: conn id -> live StreamWriter (worker responses route through it)
+        #: conn id -> live StreamWriter (deferred answers route through it)
         self._conn_writers: dict[int, asyncio.StreamWriter] = {}
         self._conn_tasks: set[asyncio.Task] = set()
 
@@ -108,13 +90,7 @@ class NetServer:
     # lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> tuple[str, int]:
-        """Bind, fork the worker pool (if any); returns ``(host, port)``."""
-        if self.num_workers > 0:
-            from .workers import WorkerPool
-
-            self.pool = WorkerPool(self, self.num_workers,
-                                   max_frame=self.max_frame)
-            await self.pool.start()
+        """Bind (and start replication, if asked); returns ``(host, port)``."""
         if self._replicate_addr is not None:
             from ..replica.leader import ReplicationServer
 
@@ -141,7 +117,7 @@ class NetServer:
         await self._asyncio_server.serve_forever()
 
     async def close(self) -> None:
-        """Stop accepting, drop connections, stop workers (and the server)."""
+        """Stop accepting, drop connections (and close the server)."""
         if self.replication is not None:
             await self.replication.close()
             self.replication = None
@@ -157,9 +133,6 @@ class NetServer:
         if self._conn_tasks:
             await asyncio.gather(*self._conn_tasks, return_exceptions=True)
         self._conn_tasks.clear()
-        if self.pool is not None:
-            await self.pool.close()
-            self.pool = None
         if self._own_server:
             await self.server.close()
 
@@ -231,7 +204,7 @@ class NetServer:
             writer.write(data)
 
     def _send_to(self, cid: int, payload: dict) -> None:
-        """Deferred send by connection id (done-callbacks, worker relay).
+        """Deferred send by connection id (batcher done-callbacks).
 
         A connection that died while its answer was in flight simply
         drops the answer — its slot was already released, so nothing
@@ -265,14 +238,9 @@ class NetServer:
             self._send(conn, writer, {"id": rid, "ok": True, "r": snap})
         elif op == "barrier":
             await self.server.drain()
-            if self.pool is not None:
-                await self.pool.barrier()
             self._send(conn, writer, {"id": rid, "ok": True, "r": True})
         elif op in READ_OPS:
-            if self.pool is not None and self.pool.alive_count > 0:
-                if await self.pool.dispatch(cid, msg):
-                    return
-            await self._inline_read(cid, conn, msg)
+            await self._read(cid, msg)
         else:
             self._send(conn, writer, error_response(
                 rid, ValueError(f"unknown op {op!r}")))
@@ -287,28 +255,14 @@ class NetServer:
             else:
                 shard = await self.server.delete(key)
         except Exception as exc:
-            if self.pool is not None:
-                # the engine may have applied the write before the
-                # error (e.g. a failed durability ack): keep replicas
-                # converging rather than parking the captured event
-                await self.pool.flush_events()
             self._send(conn, writer, error_response(rid, exc))
             return
-        if self.pool is not None:
-            # flush BEFORE acknowledging: the pool's WriteEvent
-            # listener captured this write at the engine apply point
-            # (so concurrent handlers cannot reorder the replica
-            # stream), and once the client sees the ack every worker's
-            # control socket already carries the event — per-socket
-            # FIFO applies it before any read dispatched afterwards
-            # (read-your-writes)
-            await self.pool.flush_events()
         self._send(conn, writer, {"id": rid, "ok": True, "r": shard})
 
     # ------------------------------------------------------------------
-    # inline reads (workers=0, or every worker is dead)
+    # reads
     # ------------------------------------------------------------------
-    async def _inline_read(self, cid: int, conn, msg: dict) -> None:
+    async def _read(self, cid: int, msg: dict) -> None:
         """Answer one read on this process via cache + micro-batcher."""
         op = msg.get("op")
         rid = msg.get("id")

@@ -1,14 +1,11 @@
-"""Fault injection for the network serving tier (ISSUE 9 satellite).
+"""Fault injection and wire exactness for the network serving tier.
 
-Two failure families, both required to produce *zero wrong answers*:
-
-* a read-worker process SIGKILLed while requests are in flight — the
-  dispatcher must reroute its work to survivors (or answer inline once
-  none remain) and every rerouted request must still match the
-  ``np.searchsorted`` oracle;
-* a client SIGKILLed mid-pipeline (a real subprocess, as in the PR-6
+* float keys must cross the wire at full precision: a write and the
+  reads that follow it agree with the engine to the last bit;
+* a client SIGKILLed mid-pipeline (a real subprocess, as in the
   durability crash tests) — the server must drop the orphaned answers
-  and release every backpressure slot it claimed for them.
+  and release every backpressure slot it claimed for them, with zero
+  wrong answers afterwards.
 """
 
 from __future__ import annotations
@@ -26,7 +23,6 @@ import pytest
 
 import repro
 from repro.net import Client
-from repro.net.protocol import ProtocolError
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -43,177 +39,16 @@ def _oracle(keys, qs):
         keys, np.asarray(qs, dtype=np.uint64), side="left")]
 
 
-# ----------------------------------------------------------------------
-# read-worker death
-# ----------------------------------------------------------------------
-def test_sigkill_worker_mid_batch_reroutes_with_zero_wrong_answers(keys):
-    async def scenario():
-        index = repro.Index.build(keys, num_shards=2)
-        net = index.serve(addr=("127.0.0.1", 0), net_workers=2)
-        await net.start()
-        try:
-            async with Client(*net.address, timeout=60) as client:
-                assert await client.ping() is True
-                victim = net.pool._workers[0]
-                # freeze the victim so its dispatched requests stay
-                # in flight, pipeline a burst, then murder it
-                os.kill(victim.proc.pid, signal.SIGSTOP)
-                rng = np.random.default_rng(3)
-                qs = [int(k) for k in rng.choice(keys, 48)]
-                tasks = [asyncio.create_task(client.lookup(q)) for q in qs]
-                for _ in range(100):  # until the victim holds work
-                    await asyncio.sleep(0.01)
-                    if victim.inflight:
-                        break
-                assert victim.inflight, "no requests reached the victim"
-                os.kill(victim.proc.pid, signal.SIGKILL)
-                answers = await asyncio.wait_for(
-                    asyncio.gather(*tasks), timeout=60)
-                assert answers == _oracle(keys, qs)  # zero wrong answers
-                snap = await client.stats()
-                assert snap["live_workers"] == 1
-                assert snap["rerouted"] >= 1
-                # the survivor still applies fresh write events
-                fresh = int(keys[-1]) + 1000
-                await client.insert(fresh)
-                assert await client.lookup(fresh) == len(keys)
-        finally:
-            await net.close()
-
-    asyncio.run(scenario())
-
-
-def test_all_workers_dead_falls_back_inline(keys):
-    async def scenario():
-        index = repro.Index.build(keys, num_shards=2)
-        net = index.serve(addr=("127.0.0.1", 0), net_workers=2)
-        await net.start()
-        try:
-            async with Client(*net.address, timeout=60) as client:
-                assert await client.ping() is True
-                pids = [w.proc.pid for w in net.pool._workers]
-                os.kill(pids[0], signal.SIGSTOP)
-                qs = [int(k) for k in keys[::500]]
-                tasks = [asyncio.create_task(client.lookup(q)) for q in qs]
-                await asyncio.sleep(0.05)
-                for pid in pids:  # no survivors at all
-                    os.kill(pid, signal.SIGKILL)
-                answers = await asyncio.wait_for(
-                    asyncio.gather(*tasks), timeout=60)
-                assert answers == _oracle(keys, qs)
-                snap = await client.stats()
-                assert snap["live_workers"] == 0
-                # brand-new reads are answered inline by the parent
-                assert await client.lookup(int(keys[7])) == 7
-        finally:
-            await net.close()
-
-    asyncio.run(scenario())
-
-
-def test_control_handler_error_marks_worker_dead(keys):
-    # anything the parent's per-message handler raises must count as a
-    # worker death (reroute + slot release), never leak the worker as
-    # alive with its in-flight requests stuck forever
-    async def scenario():
-        index = repro.Index.build(keys, num_shards=2)
-        net = index.serve(addr=("127.0.0.1", 0), net_workers=2)
-        await net.start()
-        try:
-            async with Client(*net.address, timeout=60) as client:
-                assert await client.ping() is True
-
-                def boom(worker, msg):
-                    raise KeyError("seq")  # a control frame the handler chokes on
-
-                net.pool._on_worker_msg = boom
-                # the next read's response blows up both reader loops
-                # in turn; the request must still be answered (reroute,
-                # then inline once no workers remain)
-                assert await client.lookup(int(keys[5])) == 5
-                for _ in range(500):
-                    if net.pool.alive_count == 0:
-                        break
-                    await asyncio.sleep(0.01)
-                assert net.pool.alive_count == 0
-                # no leaked semaphore slots: fresh reads answer inline
-                qs = [int(k) for k in keys[::1000]]
-                answers = await asyncio.gather(
-                    *[client.lookup(q) for q in qs])
-                assert answers == _oracle(keys, qs)
-        finally:
-            await net.close()
-
-    asyncio.run(scenario())
-
-
-def test_oversized_worker_answer_fails_request_not_pool(keys):
-    # a response frame above max_frame must fail its own request with
-    # an error frame, not ProtocolError the worker process to death —
-    # death would reroute the same request and cascade through the pool
-    async def scenario():
-        index = repro.Index.build(keys, num_shards=2)
-        net = index.serve(addr=("127.0.0.1", 0), net_workers=2,
-                          max_frame=2048)
-        await net.start()
-        try:
-            async with Client(*net.address, timeout=60) as client:
-                lo, hi = int(keys[0]), int(keys[-1]) + 1
-                for _ in range(4):  # round-robins across both workers
-                    with pytest.raises(ProtocolError, match="limit"):
-                        await client.range_keys(lo, hi)  # 6000 keys >> 2KB
-                snap = await client.stats()
-                assert snap["live_workers"] == 2  # nobody died
-                qs = [int(k) for k in keys[::500]]
-                answers = await asyncio.gather(
-                    *[client.lookup(q) for q in qs])
-                assert answers == _oracle(keys, qs)
-        finally:
-            await net.close()
-
-    asyncio.run(scenario())
-
-
-# ----------------------------------------------------------------------
-# replication event stream (capture at the engine apply point)
-# ----------------------------------------------------------------------
-def test_event_stream_replays_in_engine_apply_order(keys):
-    # the pool's WriteEvent listener captures mutations where the
-    # engine applies them, so even writes that never pass through a
-    # connection handler replicate — and same-key insert/delete/insert
-    # must land the replica on "present once", which any reordering or
-    # dropped event would break
-    async def scenario():
-        index = repro.Index.build(keys, num_shards=2)
-        net = index.serve(addr=("127.0.0.1", 0), net_workers=1)
-        await net.start()
-        try:
-            fresh = int(keys[-1]) + 11
-            eng = net.server.index
-            eng.insert(fresh)
-            eng.delete(fresh)
-            eng.insert(fresh)
-            async with Client(*net.address, timeout=60) as client:
-                await client.barrier()  # flushes the queued events
-                assert await client.range(fresh, fresh + 1) == 1
-                snap = await client.stats()
-                assert snap["live_workers"] == 1
-        finally:
-            await net.close()
-
-    asyncio.run(scenario())
-
-
-def test_float_key_writes_replicate_exactly_to_workers():
-    # float-dtype indexes replicate the key in wire-native float form;
-    # the old int(key) truncation made workers insert/delete the wrong
-    # key and silently diverge from the parent
+def test_float_key_writes_are_exact_over_tcp():
+    # float-dtype indexes carry the key in wire-native float form; an
+    # int(key) truncation anywhere on the path would insert/delete the
+    # wrong key and silently diverge from what the client sent
     rng = np.random.default_rng(23)
     fkeys = np.sort(np.unique(rng.uniform(0.0, 1e6, 4000)))
 
     async def scenario():
         index = repro.Index.build(fkeys, num_shards=2)
-        net = index.serve(addr=("127.0.0.1", 0), net_workers=2)
+        net = index.serve(addr=("127.0.0.1", 0))
         await net.start()
         try:
             async with Client(*net.address, timeout=60) as client:
@@ -221,13 +56,13 @@ def test_float_key_writes_replicate_exactly_to_workers():
                 await client.insert(frac)
                 # read-your-writes at full float precision: under
                 # int() truncation the count below would be 0 (the
-                # workers would hold frac - 0.5 instead)
+                # engine would hold frac - 0.5 instead)
                 assert await client.range(frac, frac + 1.0) == 1
                 assert await client.range(frac - 0.5, frac) == 0
                 await client.delete(frac)
-                await client.barrier()
+                assert await client.barrier() is True
                 assert await client.range(frac - 1.0, frac + 1.0) == 0
-                # replicas stayed convergent with the parent engine
+                # the engine is back to exactly the built key set
                 scan = await client.range_keys(0.0, frac + 2.0)
                 assert np.array_equal(scan, np.asarray(fkeys))
         finally:

@@ -199,7 +199,7 @@ def test_cli_client_bench_single_cell(capsys, tmp_path):
     rc = cli_main([
         "client-bench", "--n", "3000", "--clients", "2", "--rounds", "1",
         "--scenarios", "read-heavy", "--transports", "tcp",
-        "--net-workers", "0", "--json", str(path),
+        "--json", str(path),
     ])
     out = capsys.readouterr().out
     assert rc == 0
@@ -207,7 +207,9 @@ def test_cli_client_bench_single_cell(capsys, tmp_path):
     payload = json.loads(path.read_text())
     assert payload["rows"] and all(
         r["mismatches"] == 0 for r in payload["rows"])
-    assert "cpu_count" in payload and "scaling" in payload
+    assert "cpu_count" in payload
+    assert [(r["transport"], r["scenario"]) for r in payload["rows"]] == [
+        ("tcp", "read-heavy")]
 
 
 def test_cli_fig3(capsys):
